@@ -81,9 +81,6 @@ class HttpServiceDeployer(ServiceDeployer):
     def endpoint_uri(self, name: str) -> str:
         return f"http://{self.node.id}:{self.port}{self.service_path(name)}"
 
-    def wsdl_uri(self, name: str) -> str:
-        return self.endpoint_uri(name) + ".wsdl"
-
     def deploy(self, deployed: DeployedService) -> None:
         name = deployed.name
         if not self.server.started:

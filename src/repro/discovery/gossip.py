@@ -205,10 +205,6 @@ class GossipNode:
             if node_id != self.node.id and node_id not in self.peers:
                 self.peers.append(node_id)
 
-    def unlink(self, node_id: str) -> None:
-        if node_id in self.peers:
-            self.peers.remove(node_id)
-
     def add_listener(self, listener: AnnouncementListener) -> None:
         self._listeners.append(listener)
 
@@ -394,8 +390,3 @@ class GossipNode:
     def freshest_for(self, service: str) -> Optional[ServiceAnnouncement]:
         entries = self.entries_for(service)
         return max(entries, key=lambda a: a.seq) if entries else None
-
-    @property
-    def store_size(self) -> int:
-        self._purge()
-        return len(self._store)

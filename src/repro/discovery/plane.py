@@ -82,9 +82,6 @@ class DiscoveryPlane:
         self._gossip[node.id] = agent
         return agent
 
-    def gossip_member(self, node_id: str) -> Optional[GossipNode]:
-        return self._gossip.get(node_id)
-
     # ------------------------------------------------------------------
     # client windows
     # ------------------------------------------------------------------
@@ -165,9 +162,6 @@ class DiscoveryPlane:
 
     def shard_node(self, shard_id: str) -> Node:
         return self.registries[shard_id].node
-
-    def total_services(self) -> int:
-        return sum(r.registry.service_count for r in self.registries.values())
 
     def __repr__(self) -> str:
         return (

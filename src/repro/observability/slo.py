@@ -139,11 +139,6 @@ class SloEngine:
         self._last_event_time = 0.0
 
     # -- configuration -----------------------------------------------------
-    def set_policy(self, service: str, policy: SloPolicy) -> None:
-        """Per-service override (applies to future verdicts' windows)."""
-        self._policies[service] = policy
-        if service in self.services:
-            self.services[service].policy = policy
 
     def _service(self, name: str) -> ServiceSlo:
         slo = self.services.get(name)

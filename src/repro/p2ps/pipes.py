@@ -15,7 +15,7 @@ resolving a :class:`PipeAdvertisement` to a physical node.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.p2ps.advertisements import PipeAdvertisement
 from repro.simnet.network import Frame, Node, NodeDownError
@@ -162,9 +162,6 @@ class TableEndpointResolver(EndpointResolver):
 
     def known(self, peer_id: str) -> bool:
         return peer_id in self._table
-
-    def route_for(self, peer_id: str) -> Optional[Route]:
-        return self._table.get(peer_id)
 
     def resolve(self, advert: PipeAdvertisement) -> Route:
         route = self._table.get(advert.peer_id)

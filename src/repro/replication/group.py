@@ -102,12 +102,6 @@ class ReplicationGroup:
             )
         return next(iter(targets.values()))
 
-    def member_for(self, peer) -> Optional[ReplicationMember]:
-        for member in self.members:
-            if member.peer is peer:
-                return member
-        return None
-
     # ------------------------------------------------------------------
     # the handoff directory (consulted by FailoverExecutor)
     # ------------------------------------------------------------------
@@ -226,12 +220,6 @@ class ReplicationGroup:
         self._anti_entropy_timer = self._kernel.schedule(period, tick)
         return self._anti_entropy_timer
 
-    def stop_anti_entropy(self) -> None:
-        timer = self._anti_entropy_timer
-        self._anti_entropy_timer = None
-        if timer is not None and hasattr(timer, "cancel"):
-            timer.cancel()
-
     def run_anti_entropy(self) -> None:
         """One pull round: every live member compares high waters with
         every other live member and catches up where it is behind."""
@@ -335,8 +323,6 @@ class ReplicationGroup:
     # ------------------------------------------------------------------
     # convergence checks + metrics
     # ------------------------------------------------------------------
-    def high_waters(self) -> dict[str, dict[str, int]]:
-        return {m.node_id: m.store.high_water_map() for m in self.members}
 
     def delta_lag(self) -> int:
         """Max over sessions of (highest member high water - lowest

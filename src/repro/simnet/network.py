@@ -325,9 +325,6 @@ class Network:
         except KeyError:
             raise NetworkError(f"unknown node: {node_id}") from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def remove_node(self, node_id: str) -> None:
         self._nodes.pop(node_id, None)
 

@@ -822,10 +822,6 @@ class ConnectionPool:
     def connections(self) -> list[HttpConnection]:
         return [conn for bucket in self._conns.values() for conn in bucket]
 
-    def close_all(self) -> None:
-        for conn in self.connections():
-            conn.close()
-
     def stats(self) -> dict[str, int]:
         return {
             "open": self.size,

@@ -460,13 +460,6 @@ class HttpServer:
         self.routes.pop(path, None)
         self.stream_sinks.pop(path, None)
 
-    def add_stream_sink(self, path: str, factory: Callable[[], object]) -> None:
-        """Consume chunk-streamed request bodies for *path* through
-        ``factory()`` sinks (O(chunk) server-side memory) instead of
-        reassembling the full wire before dispatch."""
-        path = path if path.startswith("/") else "/" + path
-        self.stream_sinks[path] = factory
-
     def _body_sink_for(self, head: bytes):
         """Pick the stream sink for an incoming chunked request, from
         its parsed head.  None means: buffer the whole wire."""

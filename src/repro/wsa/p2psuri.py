@@ -34,9 +34,6 @@ class P2psAddress:
         """A pipe with no associated service (a reply channel)."""
         return self.pipe_name != "" and self.service_name == ""
 
-    def to_uri(self) -> str:
-        return make_p2ps_uri(self.peer_id, self.service_name, self.pipe_name)
-
     def service_uri(self) -> str:
         """The address *without* the pipe fragment — what goes in
         wsa:Address / wsa:To (binding rule 1)."""
